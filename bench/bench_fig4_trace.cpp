@@ -3,8 +3,8 @@
 /// time-step of the Evrard collapse on 192 cores (16 ranks x 12 threads on
 /// Piz Daint).
 ///
-/// The distributed driver runs one real step of the SPHYNX configuration
-/// over 16 simulated ranks; the per-rank phase durations (A..J) are emitted
+/// The driver runs one real step of the SPHYNX configuration over 16
+/// simulated ranks; the per-rank phase durations (A..J) are emitted
 /// by the pipeline runner into an attached PhaseEventLog — nothing is
 /// hand-recorded here — and expanded into a per-thread timeline under
 /// SPHYNX v1.3.1's intra-node parallelism profile (serial tree build,
@@ -20,7 +20,7 @@
 #include <fstream>
 
 #include "bench_common.hpp"
-#include "domain/distributed.hpp"
+#include "core/simulation.hpp"
 #include "perf/pop_metrics.hpp"
 #include "perf/tracer.hpp"
 
@@ -50,7 +50,7 @@ int main()
 
     // Evrard closure: ideal gas with gamma = 5/3 (paper Sec. 5.1)
     Eos<double> eos{IdealGasEos<double>(5.0 / 3.0)};
-    DistributedSimulation<double> sim(ps, box, eos, cfg, ranks);
+    Simulation<double> sim(ps, box, eos, cfg, ranks);
     PhaseEventLog log;
     sim.attachPhaseLog(&log);
     sim.advance(); // warm-up step (h converges)

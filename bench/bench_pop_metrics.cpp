@@ -14,7 +14,7 @@
 #include <vector>
 
 #include "bench_common.hpp"
-#include "domain/distributed.hpp"
+#include "core/simulation.hpp"
 #include "perf/pop_metrics.hpp"
 #include "perf/tracer.hpp"
 
@@ -53,7 +53,7 @@ int main()
     for (int cores : coreCounts)
     {
         int ranks = cores / threadsPerRank;
-        DistributedSimulation<double> sim(ps, box, eos, cfg, ranks);
+        Simulation<double> sim(ps, box, eos, cfg, ranks);
         sim.advance(); // warm-up
 
         // average the per-rank phase times over several steps to tame

@@ -11,7 +11,7 @@
 #include <cstdlib>
 
 #include "core/code_profiles.hpp"
-#include "domain/distributed.hpp"
+#include "core/simulation.hpp"
 #include "ic/square_patch.hpp"
 #include "io/report_writer.hpp"
 
@@ -45,8 +45,7 @@ int main(int argc, char** argv)
         cfg.selfGravity     = false;
         cfg.targetNeighbors = 60;
 
-        DistributedSimulation<double> sim(ps, setup.box, Eos<double>(setup.eos), cfg,
-                                          ranks);
+        Simulation<double> sim(ps, setup.box, Eos<double>(setup.eos), cfg, ranks);
         // measure over a few steps
         double lb = 0, secs = 0;
         std::size_t ghosts = 0, haloBytes = 0;

@@ -17,7 +17,7 @@
 ///    but differ from Scalar by FP re-association of the neighbor sums
 ///    (tolerance-gated in tests/test_backend.cpp, see ARCHITECTURE.md).
 ///
-/// The selection is a SimulationConfig field plumbed by the drivers through
+/// The selection is a SimulationConfig field plumbed by the driver through
 /// StepContext into the PipelineFactory phase ops; standalone callers of
 /// computeDensity & friends get the Scalar path by default.
 

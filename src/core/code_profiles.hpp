@@ -17,7 +17,6 @@
 #include <vector>
 
 #include "core/config.hpp"
-#include "core/propagator.hpp"
 
 namespace sphexa {
 
@@ -272,15 +271,6 @@ template<class T>
 std::vector<CodeProfile<T>> parentProfiles()
 {
     return {sphynxProfile<T>(), changaProfile<T>(), sphflowProfile<T>()};
-}
-
-/// The shared-memory force pipeline a parent-code preset selects: the
-/// profile's SimulationConfig determines the phase list declaratively
-/// (hydro-only vs hydro+gravity; see core/propagator.hpp).
-template<class T>
-Propagator<T> pipelineFor(const CodeProfile<T>& profile)
-{
-    return PipelineFactory<T>::singleRank(profile.config);
 }
 
 } // namespace sphexa

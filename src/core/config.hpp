@@ -148,12 +148,12 @@ struct SimulationConfig
     VolumeElements volumeElements = VolumeElements::Generalized;
     T veExponent = T(0.9);
     /// Time-step control (sph/timestep.hpp). Individual mode together with
-    /// IndividualTreeWalk below selects the binned-integration pipeline
-    /// (PipelineFactory::individual + the shared-memory driver's binned
-    /// kick/drift path): forces are recomputed only for the active 2^k bins
-    /// while the rest of the set is drifted. Individual mode with a global
-    /// walk, or any non-Compressible hydroMode, degenerates to global
-    /// stepping at the controller's base dt.
+    /// IndividualTreeWalk below selects the driver's binned integration
+    /// (Simulation::binnedIntegration): forces are recomputed only for the
+    /// active 2^k bins while the rest of the set is drifted. Individual
+    /// mode with a global walk, or any non-Compressible hydroMode,
+    /// degenerates to global stepping at the controller's base dt. P > 1
+    /// runs Global steps only.
     TimestepParams<T> timestep{};
     NeighborMode neighborMode = NeighborMode::GlobalTreeWalk;
 
@@ -166,10 +166,11 @@ struct SimulationConfig
     HydroMode hydroMode = HydroMode::Compressible;
     /// Tait closure parameters, used when hydroMode is WeaklyCompressible.
     WcsphEosParams<T> wcsphEos{};
-    /// Solid-wall mirror-ghost boundaries (phase K of the WCSPH pipeline).
+    /// Solid-wall mirror-ghost boundaries (the phase K ghost bracket; P = 1
+    /// only).
     BoundaryConfig<T> boundaries{};
-    /// Uniform body force (dam-break gravity), applied after the SPH
-    /// accelerations by the WCSPH pipeline's body-force op.
+    /// Uniform body force (dam-break gravity), added to the SPH
+    /// accelerations by the pipeline's body-force op.
     Vec3<T> constantAccel{T(0), T(0), T(0)};
 
     // --- discretization control ---
@@ -207,7 +208,7 @@ struct SimulationConfig
     /// invariant; see docs/ARCHITECTURE.md "Backend layer".
     KernelBackend kernelBackend = KernelBackend::Scalar;
 
-    // --- CS features (Table 4), used by the distributed driver ---
+    // --- CS features (Table 4), used at P > 1 ---
     DecompositionMethod decomposition = DecompositionMethod::SpaceFillingCurve;
     /// Self-scheduling strategy of each phase's ParallelFor loops.
     PhaseSchedule phaseSchedule{};

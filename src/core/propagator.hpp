@@ -6,23 +6,21 @@
 /// A phase of the paper's Fig. 4 timeline is a first-class named unit — a
 /// PhaseOp with a run(StepContext&) entry point — instead of a block of
 /// driver code. A pipeline is an ordered list of phases grouped into
-/// segments; segment boundaries carry the halo fields the distributed
-/// driver must refresh before the next segment may run (the cross-rank data
+/// segments; segment boundaries carry the halo fields a P > 1 run must
+/// refresh before the next segment may run (the cross-rank data
 /// dependencies of IAD, momentum and the Balsara limiter). The Propagator
-/// runs a pipeline and applies timing, StepReport accounting and the
-/// tracer's phase events uniformly — no call site hand-inserts Timer::lap().
+/// runs a segment and applies timing and the tracer's phase events
+/// uniformly — no call site hand-inserts Timer::lap().
 ///
-/// Both drivers execute these same units:
-///  - Simulation (core/simulation.hpp) runs the full pipeline in one
-///    address space, ignoring the sync specs;
-///  - DistributedSimulation (domain/distributed.hpp) runs each segment once
-///    per rank and performs the halo refresh named at the boundary.
+/// The driver (core/simulation.hpp) runs every segment once per rank at
+/// any rank count, and performs the halo refresh named at a boundary only
+/// when P > 1.
 ///
-/// PipelineFactory assembles pipelines declaratively from a
-/// SimulationConfig — and therefore from the Table 1/3 parent-code presets
-/// of core/code_profiles.hpp: an Evrard-style config (selfGravity on)
-/// selects hydro+gravity, the square patch and Sedov configs select
-/// hydro-only, and custom() accepts any op list for bespoke scenarios.
+/// PipelineFactory::singleRank() is the one assembly: every op gates
+/// itself on the SimulationConfig and the StepContext (SFC reorder, WCSPH
+/// ghost bracket, body force, self-gravity), so a config selects behaviour
+/// without selecting a phase list. custom() accepts any op list for
+/// bespoke pipelines.
 
 #include <algorithm>
 #include <functional>
@@ -52,7 +50,7 @@ struct PhaseOp
 
 /// A run of consecutive phases with no cross-rank data dependency inside,
 /// plus the ghost fields that must be refreshed before the next segment
-/// (empty for the shared-memory driver and for the final segment).
+/// when P > 1 (empty for the final segment; ignored at P = 1).
 template<class T>
 struct PipelineSegment
 {
@@ -61,8 +59,8 @@ struct PipelineSegment
 };
 
 /// The pipeline runner: executes phase units over a StepContext, timing
-/// each one into StepReport::phaseSeconds and emitting a PhaseEvent per
-/// phase when a log is attached.
+/// each one into a rank's phaseSeconds and emitting a PhaseEvent per phase
+/// when a log is attached.
 template<class T>
 class Propagator
 {
@@ -93,7 +91,7 @@ public:
         return false;
     }
 
-    /// Execute one segment for one rank; the distributed driver interleaves
+    /// Execute one segment for one rank; at P > 1 the driver interleaves
     /// these with the halo refreshes named in haloFieldsAfter.
     void runSegment(std::size_t segment, StepContext<T>& ctx,
                     std::array<double, phaseCount>& phaseSeconds,
@@ -109,35 +107,13 @@ public:
         }
     }
 
-    /// Execute the whole pipeline in one address space (shared-memory
-    /// driver): sync specs are no-ops, outputs land in the report.
-    void run(StepContext<T>& ctx, StepReport<T>& rep, PhaseEventLog* log = nullptr,
-             int rank = 0) const
-    {
-        for (std::size_t s = 0; s < segments_.size(); ++s)
-            runSegment(s, ctx, rep.phaseSeconds, log, rank);
-        harvest(ctx, rep);
-    }
-
-    /// Copy the context's per-step outputs into the report (the runner does
-    /// this in run(); segment-wise callers invoke it after the last segment).
-    static void harvest(const StepContext<T>& ctx, StepReport<T>& rep)
-    {
-        rep.neighborInteractions = ctx.neighborInteractions;
-        rep.activeParticles      = ctx.activeParticles;
-        rep.hIterations          = ctx.hIterations;
-        rep.neighborOverflow     = ctx.neighborOverflow;
-        rep.gravityStats         = ctx.gravityStats;
-        rep.phaseLoad            = ctx.phaseLoad;
-    }
-
 private:
     std::vector<PipelineSegment<T>> segments_;
 };
 
 /// The phase units themselves. Each body is mode-aware through the
 /// StepContext (global walk, active-subset walk, or per-rank local walk) so
-/// the shared-memory and distributed drivers execute the exact same code.
+/// every rank count executes the exact same code.
 namespace phase_ops {
 
 /// SFC particle reorder (phase L, tree/sfc_sort.hpp): physically sort the
@@ -148,7 +124,7 @@ namespace phase_ops {
 /// (every list is rebuilt over the new order). Self-gates on the config
 /// (ClusterList search implies it) and runs only on Global walks: an
 /// active-subset step reuses neighbor lists whose entries reference
-/// pre-reorder slots, and the distributed driver orders particles in its
+/// pre-reorder slots, and a P > 1 run orders particles in its
 /// decomposition glue instead.
 template<class T>
 PhaseOp<T> sfcReorder()
@@ -227,19 +203,13 @@ PhaseOp<T> neighborSearch()
             }};
 }
 
-/// \param activeSubsetIterates whether an ActiveSubset walk runs the h
-/// iteration over the active set (the binned-integration pipeline, where
-/// every subset step is a real force evaluation for its active particles)
-/// or reuses the converged h of the last full walk (the legacy behaviour,
-/// kept as the default for bespoke subset pipelines).
+/// The h iteration over the walked set. On an ActiveSubset walk (only the
+/// binned driver path makes one) every step is a real force evaluation for
+/// its active particles, so they iterate h too.
 template<class T>
-PhaseOp<T> smoothingLength(bool activeSubsetIterates = false)
+PhaseOp<T> smoothingLength()
 {
-    return {Phase::C_SmoothingLength, [activeSubsetIterates](StepContext<T>& ctx) {
-                if (ctx.walkMode == WalkMode::ActiveSubset && !activeSubsetIterates)
-                {
-                    return;
-                }
+    return {Phase::C_SmoothingLength, [](StepContext<T>& ctx) {
                 if (ctx.skipEmptyWalk()) return;
                 SmoothingLengthParams<T> hp;
                 hp.targetNeighbors = ctx.cfg.targetNeighbors;
@@ -375,7 +345,8 @@ template<class T>
 PhaseOp<T> selfGravity()
 {
     return {Phase::I_SelfGravity, [](StepContext<T>& ctx) {
-                if (!ctx.gravity) return; // distributed glue replicates instead
+                if (!ctx.cfg.selfGravity) return;
+                if (!ctx.gravity) return; // P > 1: the driver's glue replicates
                 if (ctx.skipEmptyWalk()) return;
                 ctx.gravity->prepare(ctx.tree, ctx.ps, ctx.cfg.gravity);
                 // active-subset steps accelerate the walked targets only; the
@@ -415,18 +386,21 @@ PhaseOp<T> ghostRemove()
 }
 
 /// Uniform body force (dam-break gravity): added onto the SPH
-/// accelerations, so it shares phase H's timing slot. A no-op at zero
-/// acceleration.
+/// accelerations of the walked set, so it shares phase H's timing slot. A
+/// no-op at zero acceleration.
 template<class T>
 PhaseOp<T> bodyForce()
 {
     return {Phase::H_MomentumEnergy, [](StepContext<T>& ctx) {
                 const Vec3<T>& g = ctx.cfg.constantAccel;
                 if (g.x == T(0) && g.y == T(0) && g.z == T(0)) return;
+                if (ctx.skipEmptyWalk()) return;
                 auto& ps = ctx.ps;
+                auto act = ctx.activeSpan();
                 parallelFor(
-                    ps.size(),
-                    [&](std::size_t i, std::size_t) {
+                    act.empty() ? ps.size() : act.size(),
+                    [&](std::size_t k, std::size_t) {
+                        std::size_t i = act.empty() ? k : act[k];
                         ps.ax[i] += g.x;
                         ps.ay[i] += g.y;
                         ps.az[i] += g.z;
@@ -437,104 +411,36 @@ PhaseOp<T> bodyForce()
 
 } // namespace phase_ops
 
-/// Assembles pipelines declaratively from a SimulationConfig (and therefore
-/// from the code_profiles.hpp presets).
+/// Assembles the force pipeline.
 template<class T>
 class PipelineFactory
 {
 public:
-    /// Hydro-only force pipeline: phases A..H (square patch, Sedov),
-    /// preceded by the self-gating SFC reorder of phase L.
-    static Propagator<T> hydro()
-    {
-        return custom({phase_ops::sfcReorder<T>(), phase_ops::treeBuild<T>(),
-                       phase_ops::neighborSearch<T>(),
-                       phase_ops::smoothingLength<T>(),
-                       phase_ops::neighborSymmetrize<T>(), phase_ops::density<T>(),
-                       phase_ops::eosAndIad<T>(), phase_ops::divCurl<T>(),
-                       phase_ops::momentumEnergy<T>()});
-    }
-
-    /// Hydro + self-gravity pipeline: phases A..I (Evrard collapse).
-    static Propagator<T> hydroGravity()
-    {
-        auto p   = hydro();
-        auto seg = p.segments();
-        seg.back().ops.push_back(phase_ops::selfGravity<T>());
-        return Propagator<T>(std::move(seg));
-    }
-
-    /// WCSPH free-surface pipeline: the hydro phases bracketed by the
-    /// mirror-ghost ops of phase K (create before the tree build, remove
-    /// after forces) plus the uniform body force after phase H. With no
-    /// walls and zero body force every added op is a no-op and the phase
-    /// bodies match hydro()/hydroGravity() exactly — the pipeline-
-    /// equivalence gate the golden tests exploit.
-    static Propagator<T> wcsph(const SimulationConfig<T>& cfg)
-    {
-        std::vector<PhaseOp<T>> ops{
-            phase_ops::sfcReorder<T>(),   phase_ops::ghostCreate<T>(),
-            phase_ops::treeBuild<T>(),
-            phase_ops::neighborSearch<T>(), phase_ops::smoothingLength<T>(),
-            phase_ops::neighborSymmetrize<T>(), phase_ops::density<T>(),
-            phase_ops::eosAndIad<T>(),    phase_ops::divCurl<T>(),
-            phase_ops::momentumEnergy<T>(), phase_ops::bodyForce<T>()};
-        if (cfg.selfGravity) ops.push_back(phase_ops::selfGravity<T>());
-        ops.push_back(phase_ops::ghostRemove<T>());
-        return custom(std::move(ops));
-    }
-
-    /// Binned-integration ("individual time-stepping") pipeline: the hydro
-    /// phases with every post-search op running over the controller's
-    /// active bins. Phase B fills the active set (the force/kick-end set,
-    /// see sph/timestep.hpp) and walks it individually; phase C iterates h
-    /// for the active particles; D..H(..I) evaluate densities, gradients
-    /// and forces for the subset only, while inactive particles are merely
-    /// drifted by the driver. The paper's Table 1/2 ChaNGa row.
-    static Propagator<T> individual(const SimulationConfig<T>& cfg)
-    {
-        std::vector<PhaseOp<T>> ops{
-            phase_ops::sfcReorder<T>(), phase_ops::treeBuild<T>(),
-            phase_ops::neighborSearch<T>(),
-            phase_ops::smoothingLength<T>(/*activeSubsetIterates*/ true),
-            phase_ops::neighborSymmetrize<T>(), phase_ops::density<T>(),
-            phase_ops::eosAndIad<T>(), phase_ops::divCurl<T>(),
-            phase_ops::momentumEnergy<T>()};
-        if (cfg.selfGravity) ops.push_back(phase_ops::selfGravity<T>());
-        return custom(std::move(ops));
-    }
-
-    /// Shared-memory pipeline for a configuration: the scenario (gravity or
-    /// not, compressible or WCSPH, binned integration or global steps)
-    /// selects the phase list.
-    static Propagator<T> singleRank(const SimulationConfig<T>& cfg)
-    {
-        if (cfg.hydroMode == HydroMode::WeaklyCompressible) return wcsph(cfg);
-        if (cfg.timestep.mode == TimesteppingMode::Individual &&
-            cfg.neighborMode == NeighborMode::IndividualTreeWalk)
-        {
-            return individual(cfg);
-        }
-        return cfg.selfGravity ? hydroGravity() : hydro();
-    }
-
-    /// Distributed per-rank pipeline for a configuration: the same phase
-    /// units grouped into segments, with the ghost fields each cross-rank
-    /// data dependency needs refreshed at the boundaries (IAD reads the
+    /// The force pipeline of every configuration and rank count:
+    ///
+    ///   L, K+, A..E | F | G | H, body force, I, K-
+    ///
+    /// Each op gates itself: L on the config's reorder switch and Global
+    /// walks, the K bracket on configured walls, the body force on a
+    /// nonzero constantAccel, I on selfGravity (and on the driver's in-place
+    /// solver: P > 1 replicates gravity in its glue). The '|' boundaries
+    /// name the ghost fields a P > 1 run refreshes there: IAD reads the
     /// neighbors' density-pass volumes, momentum their EOS + IAD outputs,
-    /// the AV limiter their Balsara value). Self-gravity is not a per-rank
-    /// phase: the driver replicates the tree in its reduction glue.
-    static Propagator<T> distributed(const SimulationConfig<T>&)
+    /// the AV limiter their Balsara value. P = 1 ignores them.
+    static Propagator<T> singleRank(const SimulationConfig<T>&)
     {
         std::vector<PipelineSegment<T>> segs;
-        segs.push_back({{phase_ops::treeBuild<T>(), phase_ops::neighborSearch<T>(),
+        segs.push_back({{phase_ops::sfcReorder<T>(), phase_ops::ghostCreate<T>(),
+                         phase_ops::treeBuild<T>(), phase_ops::neighborSearch<T>(),
                          phase_ops::smoothingLength<T>(),
                          phase_ops::neighborSymmetrize<T>(), phase_ops::density<T>()},
                         {"h", "rho", "vol", "gradh", "xmass"}});
         segs.push_back({{phase_ops::eosAndIad<T>()},
                         {"p", "c", "c11", "c12", "c13", "c22", "c23", "c33"}});
         segs.push_back({{phase_ops::divCurl<T>()}, {"balsara", "divv", "curlv"}});
-        segs.push_back({{phase_ops::momentumEnergy<T>()}, {}});
+        segs.push_back({{phase_ops::momentumEnergy<T>(), phase_ops::bodyForce<T>(),
+                         phase_ops::selfGravity<T>(), phase_ops::ghostRemove<T>()},
+                        {}});
         return Propagator<T>(std::move(segs));
     }
 

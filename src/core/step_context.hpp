@@ -3,16 +3,17 @@
 /// \file step_context.hpp
 /// The shared vocabulary of the propagator layer (core/propagator.hpp):
 /// the workflow phases of the paper's Algorithm 1 / Fig. 4 timeline, the
-/// per-step report both drivers fill, the mutable state bundle a phase
+/// per-step report the driver fills, the mutable state bundle a phase
 /// operates on (StepContext), and the runner-emitted phase-event log that
 /// feeds the Extrae-style tracer (perf/tracer.hpp).
 ///
-/// Both drivers — the shared-memory Simulation (core/simulation.hpp) and
-/// the distributed DistributedSimulation (domain/distributed.hpp) — execute
-/// the same phase units over a StepContext; only decomposition, halo and
-/// reduction glue remains driver-specific. docs/ARCHITECTURE.md walks the
-/// pipeline stage by stage.
+/// The driver (core/simulation.hpp) builds one StepContext per rank and
+/// runs the same phase units over each, at any rank count; only the
+/// decomposition, halo and reduction glue of domain/distributed.hpp is
+/// specific to P > 1. docs/ARCHITECTURE.md walks the pipeline stage by
+/// stage.
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
 #include <span>
@@ -24,6 +25,7 @@
 #include "core/config.hpp"
 #include "core/phases.hpp"
 #include "domain/box.hpp"
+#include "parallel/comm.hpp"
 #include "parallel/parallel_for.hpp"
 #include "sph/eos.hpp"
 #include "sph/particles.hpp"
@@ -36,8 +38,33 @@
 
 namespace sphexa {
 
+/// One rank's share of a step: its phase times and loads, the multi-rank
+/// glue it paid for, and its work and traffic counters.
+struct RankStepReport
+{
+    std::array<double, phaseCount> phaseSeconds{};
+    /// Per-worker busy times of the rank's ParallelFor loops, by phase
+    /// (the intra-rank load-balance axis of the POP hierarchy).
+    std::array<PhaseLoadStats, phaseCount> phaseLoad{};
+    double decompositionSeconds = 0; ///< zero at P = 1
+    double haloSeconds          = 0; ///< zero at P = 1
+    std::size_t localParticles  = 0;
+    std::size_t ghostParticles  = 0; ///< halo ghosts of other ranks
+    std::size_t neighborInteractions = 0;
+    simmpi::Traffic traffic{}; ///< traffic sent this step
+
+    double computeSeconds() const
+    {
+        double s = 0;
+        for (double p : phaseSeconds)
+            s += p;
+        return s;
+    }
+};
+
 /// Per-step report: timings and work counters, the raw material of the
-/// performance experiments.
+/// performance experiments. The whole-step fields total the per-rank
+/// entries of \c ranks (P entries, one at P = 1).
 template<class T>
 struct StepReport
 {
@@ -50,19 +77,36 @@ struct StepReport
     GravityStats gravityStats{};
     unsigned hIterations = 0;
     /// Neighbor-list fills that exceeded ngmax this step (truncated lists).
-    /// Zero in a healthy run; the shared-memory driver warns once per step
-    /// when it is not, instead of silently losing interactions.
+    /// Zero in a healthy run; the driver warns once per step when it is
+    /// not, instead of silently losing interactions.
     std::size_t neighborOverflow = 0;
 
     /// Measured per-worker busy times of each phase's ParallelFor loops —
     /// the raw material of the per-phase POP load-balance metrics
-    /// (perf/pop_metrics.hpp). Empty for phases without ParallelFor loops
-    /// (tree build and neighbor search run their own OpenMP walks).
+    /// (perf/pop_metrics.hpp). Every phase runs its loops through
+    /// parallelFor; the neighbor search (B) and phases C..J record here,
+    /// while the SFC sort (L) and tree build (A) run theirs without a stats
+    /// slot, so their entries stay empty like those of phases not run.
     std::array<PhaseLoadStats, phaseCount> phaseLoad{};
+
+    std::vector<RankStepReport> ranks;
 
     /// POP load-balance efficiency of one phase: mean/max worker busy time
     /// over the phase's ParallelFor executions (1.0 when unmeasured).
     double phaseLoadBalance(Phase p) const { return phaseLoad[int(p)].loadBalance(); }
+
+    /// POP load balance of the compute time across ranks: mean/max.
+    double loadBalance() const
+    {
+        double mx = 0, sum = 0;
+        for (const auto& r : ranks)
+        {
+            double c = r.computeSeconds();
+            mx = std::max(mx, c);
+            sum += c;
+        }
+        return mx > 0 ? sum / (double(ranks.size()) * mx) : 1.0;
+    }
 
     double totalSeconds() const
     {
@@ -79,7 +123,7 @@ enum class WalkMode
     Global,       ///< global tree walk + h iteration over all particles
     ActiveSubset, ///< individual walks over the controller's active bin
                   ///< (ChaNGa-style multi-time-stepping); empty set = all
-    LocalIndices, ///< distributed rank: walk the owned (non-ghost) particles
+    LocalIndices, ///< one rank of a P > 1 run: walk its owned (non-ghost) particles
 };
 
 /// Everything a phase unit may read or write during one force evaluation.
@@ -96,8 +140,8 @@ struct StepContext
     Octree<T>& tree;
     NeighborList<T>& nl;
 
-    /// Barnes-Hut solver for the in-place phase I; null in the distributed
-    /// driver, which replicates the tree in its reduction glue instead.
+    /// Barnes-Hut solver for the in-place phase I; null at P > 1, where the
+    /// driver replicates the tree in its reduction glue instead.
     GravitySolver<T>* gravity = nullptr;
     /// Time-step controller; consulted by phase B in ActiveSubset mode.
     TimestepController<T>* controller = nullptr;
@@ -130,7 +174,7 @@ struct StepContext
     /// (correct, just rebuilding the Sinc tables every dispatch).
     const LaneKernel<T>* laneKernel = nullptr;
 
-    // --- outputs, harvested into StepReport/driver state by the runner ---
+    // --- outputs, harvested into StepReport/driver state by the driver ---
     T maxVsignal{0};
     T potentialEnergy{0};
     /// Mirror ghosts currently appended at the tail of ps (WCSPH phase K);
@@ -171,7 +215,7 @@ struct StepContext
                                             : std::span<const std::size_t>(walkIndices);
     }
 
-    /// A distributed rank that owns no particles skips every phase body
+    /// A rank of a P > 1 run that owns no particles skips every phase body
     /// (an empty ActiveSubset means "all", so only LocalIndices short-circuits).
     bool skipEmptyLocal() const
     {

@@ -83,6 +83,24 @@ struct PhaseLoadStats
         ++invocations;
     }
 
+    /// Add another record's totals (e.g. one rank's into a whole-step sum).
+    void merge(const PhaseLoadStats& o)
+    {
+        if (workerBusySeconds.size() < o.workerBusySeconds.size())
+        {
+            workerBusySeconds.resize(o.workerBusySeconds.size(), 0.0);
+            workerIterations.resize(o.workerBusySeconds.size(), 0);
+        }
+        for (std::size_t w = 0; w < o.workerBusySeconds.size(); ++w)
+        {
+            workerBusySeconds[w] += o.workerBusySeconds[w];
+            workerIterations[w] += o.workerIterations[w];
+        }
+        chunks += o.chunks;
+        wallSeconds += o.wallSeconds;
+        invocations += o.invocations;
+    }
+
     /// POP-style load balance of the phase: mean/max worker busy time.
     double loadBalance() const
     {

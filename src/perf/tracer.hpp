@@ -276,7 +276,7 @@ Tracer expandTrace(const std::vector<std::array<double, phaseCount>>& rankPhaseS
     Tracer tracer(R, threadsPerRank);
 
     // global phase schedule: all ranks advance phase-synchronously (the
-    // BSP supersteps of the distributed driver); each phase ends when the
+    // BSP supersteps of a P > 1 run); each phase ends when the
     // slowest rank finishes it.
     double tCursor = 0;
     std::vector<double> rankClock(R, 0.0);

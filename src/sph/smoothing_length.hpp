@@ -60,9 +60,9 @@ T updateH(T h, unsigned count, unsigned target)
 /// With an empty \p subset, all particles are iterated and (unless
 /// \p reuseLists says the caller just filled nl for the current h) an
 /// initial global walk happens inside. A non-empty subset restricts the
-/// iteration to those indices (a distributed rank's owned particles) and
-/// always assumes current lists — both drivers then follow the exact same
-/// h path.
+/// iteration to those indices (a rank's owned particles at P > 1, the
+/// active bins of the binned integration) and always assumes current lists
+/// — every walk mode then follows the exact same h path.
 template<class T>
 SmoothingLengthResult
 updateSmoothingLengths(ParticleSet<T>& ps, const Octree<T>& tree, NeighborList<T>& nl,

@@ -132,14 +132,60 @@ public:
     /// Individual mode).
     T advance(ParticleSet<T>& ps, T maxVsignal, const LoopPolicy& policy = {})
     {
-        activeStep_ = stepCount_;
-        if (par_.mode == TimesteppingMode::Individual)
+        if (par_.mode != TimesteppingMode::Individual)
         {
-            advanceIndividual(ps, maxVsignal, policy);
+            return advanceGlobal(candidateMin(ps, maxVsignal, policy));
+        }
+        activeStep_ = stepCount_;
+        advanceIndividual(ps, maxVsignal, policy);
+        ++stepCount_;
+        return current_;
+    }
+
+    /// Global/Adaptive modes, first half of advance(): store every
+    /// particle's candidate in ps.dt and return their minimum. A multi-rank
+    /// driver reduces the per-rank minima and passes the result on to
+    /// advanceGlobal().
+    T candidateMin(ParticleSet<T>& ps, T maxVsignal, const LoopPolicy& policy = {}) const
+    {
+        // exact min reduction over per-worker partials (selection, not
+        // accumulation: bitwise stable for any pool size or chunking)
+        std::vector<WorkerSlot<T>> workerMin(parallelForWorkers(),
+                                             WorkerSlot<T>{par_.maxDt});
+        parallelFor(
+            ps.size(),
+            [&](std::size_t i, std::size_t worker) {
+                T dti = particleTimestep(ps, i, maxVsignal, par_);
+                ps.dt[i] = dti;
+                workerMin[worker].value = std::min(workerMin[worker].value, dti);
+            },
+            policy);
+        T dtMin = par_.maxDt;
+        for (const auto& v : workerMin)
+            dtMin = std::min(dtMin, v.value);
+        return dtMin;
+    }
+
+    /// Global/Adaptive modes, second half of advance(): take the step from
+    /// the minimum candidate \p dtMin (the initial-dt clamp on the first
+    /// step, the growth limit in Adaptive mode).
+    T advanceGlobal(T dtMin)
+    {
+        activeStep_ = stepCount_;
+        if (firstStep_)
+        {
+            firstStep_ = false;
+            dtMin = std::min(dtMin, par_.initialDt);
+        }
+
+        if (par_.mode == TimesteppingMode::Adaptive)
+        {
+            current_ = (current_ > T(0)) ? std::min(dtMin, current_ * par_.maxGrowth)
+                                         : dtMin;
         }
         else
         {
-            advanceGlobal(ps, maxVsignal, policy);
+            current_ = dtMin;
         }
         ++stepCount_;
         return current_;
@@ -215,42 +261,6 @@ public:
     }
 
 private:
-    void advanceGlobal(ParticleSet<T>& ps, T maxVsignal, const LoopPolicy& policy)
-    {
-        std::size_t n = ps.size();
-
-        // exact min reduction over per-worker partials (selection, not
-        // accumulation: bitwise stable for any pool size or chunking)
-        std::vector<WorkerSlot<T>> workerMin(parallelForWorkers(),
-                                             WorkerSlot<T>{par_.maxDt});
-        parallelFor(
-            n,
-            [&](std::size_t i, std::size_t worker) {
-                T dti = particleTimestep(ps, i, maxVsignal, par_);
-                ps.dt[i] = dti;
-                workerMin[worker].value = std::min(workerMin[worker].value, dti);
-            },
-            policy);
-        T dtMin = par_.maxDt;
-        for (const auto& v : workerMin)
-            dtMin = std::min(dtMin, v.value);
-        if (firstStep_)
-        {
-            firstStep_ = false;
-            dtMin = std::min(dtMin, par_.initialDt);
-        }
-
-        if (par_.mode == TimesteppingMode::Adaptive)
-        {
-            current_ = (current_ > T(0)) ? std::min(dtMin, current_ * par_.maxGrowth)
-                                         : dtMin;
-        }
-        else
-        {
-            current_ = dtMin;
-        }
-    }
-
     /// One advance of the hierarchical binned schedule; see the file header
     /// for the full scheme.
     void advanceIndividual(ParticleSet<T>& ps, T maxVsignal, const LoopPolicy& policy)

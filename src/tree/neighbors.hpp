@@ -155,9 +155,9 @@ void findNeighborsGlobal(const Octree<T>& tree, std::type_identity_t<std::span<c
 
 /// Fill neighbor lists only for the \p active particles ("individual tree
 /// walk", ChaNGa-style): the inactive entries keep their previous lists.
-/// This is the phase-B search of every subset walk — the binned-integration
-/// pipeline (PipelineFactory::individual, where \p active is the time-step
-/// controller's force set) and the distributed driver's per-rank walk. No
+/// This is the phase-B search of every subset walk — the binned integration
+/// (where \p active is the time-step controller's force set) and the
+/// per-rank walk of a P > 1 run. No
 /// ClusterList counterpart exists: clusters are runs of consecutive
 /// SFC-sorted slots and an active bin scatters across them, so the
 /// per-particle walk remains the subset path (open item in the ROADMAP).

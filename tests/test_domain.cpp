@@ -1,14 +1,15 @@
 /// Domain decomposition tests: ORB and SFC partition invariants, halo
 /// completeness, and the crucial equivalence property — a domain-decomposed
-/// run produces the same physics as the shared-memory driver.
+/// run produces the same physics as a one-rank run.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <set>
+#include <utility>
 
 #include "core/simulation.hpp"
-#include "domain/distributed.hpp"
 #include "domain/orb.hpp"
 #include "domain/sfc_partition.hpp"
 #include "ic/evrard.hpp"
@@ -297,28 +298,31 @@ class DistributedEquivalence
 {
 };
 
-TEST_P(DistributedEquivalence, MatchesSharedMemoryDriver)
-{
-    auto [P, method] = GetParam();
+namespace {
 
+/// Run the patch for 3 steps at P = 1 and at P ranks under \p method and
+/// compare the id-sorted end states; \p cfg carries any other setting.
+/// Returns the P-rank end state and its simulated time.
+std::pair<ParticleSetD, double> expectMatchesOneRank(int P, DecompositionMethod method,
+                                                     SimulationConfig<double> cfg = {})
+{
     ParticleSetD ps;
     SquarePatchConfig<double> pc;
     pc.nx = pc.ny = 12;
     pc.nz = 6;
     auto setup = makeSquarePatch(ps, pc);
 
-    SimulationConfig<double> cfg;
     cfg.targetNeighbors = 50;
     cfg.neighborTolerance = 10;
     cfg.decomposition = method;
-    cfg.symmetrizeNeighbors = false; // the distributed driver can't (halo pairs)
-    // index-aligned comparison below: the distributed pipeline has no phase L,
-    // so keep the shared-memory driver on the seed layout too
+    cfg.symmetrizeNeighbors = false; // per-rank walks can't (halo pairs)
+    // index-aligned comparison below: P > 1 runs no phase L, so keep the
+    // P = 1 run on the seed layout too
     cfg.searchMode = NeighborSearchMode::TreeWalk;
     cfg.sfcReorder = false;
 
     Simulation<double> shared(ps, setup.box, Eos<double>(setup.eos), cfg);
-    DistributedSimulation<double> dist(ps, setup.box, Eos<double>(setup.eos), cfg, P);
+    Simulation<double> dist(ps, setup.box, Eos<double>(setup.eos), cfg, P);
 
     shared.computeForces();
     for (int s = 0; s < 3; ++s)
@@ -329,11 +333,11 @@ TEST_P(DistributedEquivalence, MatchesSharedMemoryDriver)
 
     auto g = dist.gather();
     const auto& ref = shared.particles();
-    ASSERT_EQ(g.size(), ref.size());
+    EXPECT_EQ(g.size(), ref.size());
     double maxDx = 0, maxDv = 0;
-    for (std::size_t i = 0; i < g.size(); ++i)
+    for (std::size_t i = 0; i < std::min(g.size(), ref.size()); ++i)
     {
-        ASSERT_EQ(g.id[i], ref.id[i]);
+        EXPECT_EQ(g.id[i], ref.id[i]);
         maxDx = std::max(maxDx, std::abs(g.x[i] - ref.x[i]) + std::abs(g.y[i] - ref.y[i]) +
                                     std::abs(g.z[i] - ref.z[i]));
         maxDv = std::max(maxDv, std::abs(g.vx[i] - ref.vx[i]) +
@@ -343,6 +347,37 @@ TEST_P(DistributedEquivalence, MatchesSharedMemoryDriver)
     // same algorithm, different summation order: tight but not bitwise
     EXPECT_LT(maxDx, 1e-9);
     EXPECT_LT(maxDv, 1e-6);
+    return {std::move(g), dist.time()};
+}
+
+} // namespace
+
+TEST_P(DistributedEquivalence, MatchesSharedMemoryDriver)
+{
+    auto [P, method] = GetParam();
+    expectMatchesOneRank(P, method);
+}
+
+TEST_P(DistributedEquivalence, MatchesSharedMemoryDriverWithBodyForce)
+{
+    // the body force is an op of the one pipeline, so every rank count
+    // applies it: on top of the force-free run, the uniformly accelerated
+    // patch gains g t of velocity (a translation leaves the SPH forces as
+    // they are; maxDt pins both runs to the same steps)
+    auto [P, method] = GetParam();
+    SimulationConfig<double> cfg;
+    cfg.timestep.maxDt = 1e-5;
+    auto without = expectMatchesOneRank(P, method, cfg).first;
+    const Vec3<double> g{0.0, -2.0, 0.5};
+    cfg.constantAccel = g;
+    auto [withForce, t] = expectMatchesOneRank(P, method, cfg);
+    ASSERT_EQ(withForce.size(), without.size());
+    ASSERT_GT(t, 0.0);
+    for (std::size_t i = 0; i < withForce.size(); ++i)
+    {
+        ASSERT_NEAR(withForce.vy[i] - without.vy[i], g.y * t, 1e-3 * std::abs(g.y * t)) << i;
+        ASSERT_NEAR(withForce.vz[i] - without.vz[i], g.z * t, 1e-3 * std::abs(g.z * t)) << i;
+    }
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -363,7 +398,7 @@ TEST(Distributed, ConservationHolds)
     cfg.targetNeighbors = 50;
     cfg.neighborTolerance = 10;
 
-    DistributedSimulation<double> dist(ps, setup.box, Eos<double>(setup.eos), cfg, 4);
+    Simulation<double> dist(ps, setup.box, Eos<double>(setup.eos), cfg, 4);
     auto c0 = dist.conservation();
     for (int s = 0; s < 5; ++s)
         dist.advance();
@@ -384,7 +419,7 @@ TEST(Distributed, ImbalanceBounded)
     SimulationConfig<double> cfg;
     cfg.targetNeighbors = 50;
 
-    DistributedSimulation<double> dist(ps, setup.box, Eos<double>(setup.eos), cfg, 4);
+    Simulation<double> dist(ps, setup.box, Eos<double>(setup.eos), cfg, 4);
     EXPECT_LT(dist.particleImbalance(), 1.25);
 }
 
@@ -398,7 +433,7 @@ TEST(Distributed, TrafficIsRecorded)
     SimulationConfig<double> cfg;
     cfg.targetNeighbors = 40;
 
-    DistributedSimulation<double> dist(ps, setup.box, Eos<double>(setup.eos), cfg, 3);
+    Simulation<double> dist(ps, setup.box, Eos<double>(setup.eos), cfg, 3);
     auto rep = dist.advance();
     for (const auto& r : rep.ranks)
     {
@@ -410,4 +445,41 @@ TEST(Distributed, TrafficIsRecorded)
     for (const auto& r : rep.ranks)
         ghosts += r.ghostParticles;
     EXPECT_GT(ghosts, 0u);
+}
+
+TEST(Distributed, RejectsWallsAtMoreThanOneRank)
+{
+    // mirror ghosts are not exchanged between ranks: a walled config at
+    // P > 1 fails at construction instead of running without walls
+    ParticleSetD ps;
+    SquarePatchConfig<double> pc;
+    pc.nx = pc.ny = 6;
+    pc.nz = 2;
+    auto setup = makeSquarePatch(ps, pc);
+    SimulationConfig<double> cfg;
+    cfg.boundaries.enabled   = true;
+    cfg.boundaries.wallLo[1] = true;
+    EXPECT_THROW(Simulation<double>(ps, setup.box, Eos<double>(setup.eos), cfg, 2),
+                 std::invalid_argument);
+    EXPECT_NO_THROW(Simulation<double>(ps, setup.box, Eos<double>(setup.eos), cfg, 1));
+}
+
+TEST(Distributed, RejectsNonGlobalTimesteppingAtMoreThanOneRank)
+{
+    // P > 1 reduces one global dt: Individual and Adaptive steps fail at
+    // construction instead of silently running Global steps
+    ParticleSetD ps;
+    SquarePatchConfig<double> pc;
+    pc.nx = pc.ny = 6;
+    pc.nz = 2;
+    auto setup = makeSquarePatch(ps, pc);
+    for (auto mode : {TimesteppingMode::Individual, TimesteppingMode::Adaptive})
+    {
+        SimulationConfig<double> cfg;
+        cfg.timestep.mode = mode;
+        EXPECT_THROW(Simulation<double>(ps, setup.box, Eos<double>(setup.eos), cfg, 3),
+                     std::invalid_argument)
+            << timesteppingName(mode);
+        EXPECT_NO_THROW(Simulation<double>(ps, setup.box, Eos<double>(setup.eos), cfg, 1));
+    }
 }

@@ -1,7 +1,7 @@
 /// Golden-value validation gallery (ctest label `golden`): every scenario
-/// checked against an analytic or published reference, under BOTH phase
-/// pipelines (the compressible hydro assembly and the WCSPH assembly with
-/// its ghost/body-force brackets) and at worker-pool sizes {1, 4}.
+/// checked against an analytic or published reference, under BOTH hydro
+/// modes (compressible and WCSPH, each through the one pipeline with its
+/// self-gating ghost/body-force ops) and at worker-pool sizes {1, 4}.
 ///
 /// References:
 ///  - Sedov-Taylor: R(t) = xi0 (E t^2 / rho0)^{1/5}  (ic/sedov.hpp)
@@ -10,10 +10,10 @@
 ///  - Dam break: Ritter dry-bed surge x(t) = x0 + 2 sqrt(gH) t
 ///  - Tait/Cole EOS: P = B[(rho/rho0)^gamma - 1], B = c0^2 rho0 / gamma
 ///
-/// The two pipeline legs are physically equivalent for the wall-free,
-/// force-free scenarios (the WCSPH assembly's extra phases are no-ops
-/// there) — PipelineEquivalence pins that down bitwise. The dam break
-/// needs walls to be well-posed, so both its legs run the WCSPH assembly;
+/// The two legs are physically equivalent for the wall-free, force-free
+/// scenarios (the ghost and body-force ops are no-ops there) —
+/// PipelineEquivalence pins that down bitwise. The dam break needs walls
+/// to be well-posed, so both its legs run the WCSPH mode;
 /// the compressible/WCSPH contrast is exercised by the other scenarios.
 
 #include <gtest/gtest.h>
@@ -40,8 +40,8 @@ namespace {
 
 enum class Leg
 {
-    Compressible, ///< PipelineFactory::hydro()/hydroGravity() phase list
-    Wcsph         ///< PipelineFactory::wcsph(): ghost + body-force brackets
+    Compressible, ///< HydroMode::Compressible through the one pipeline
+    Wcsph         ///< HydroMode::WeaklyCompressible through the one pipeline
 };
 
 const char* legName(Leg leg)

@@ -2,8 +2,8 @@
 ///  - checkpoint/restart continuation: a restarted simulation continues
 ///    bit-identically to an uninterrupted one (the property production
 ///    checkpoint/restart must guarantee);
-///  - distributed Evrard (with replicated-tree gravity) matches the
-///    shared-memory driver and conserves energy;
+///  - 4-rank Evrard (with replicated-tree gravity) matches the one-rank
+///    run and conserves energy;
 ///  - conservation property sweep across all kernel families and both
 ///    gradient modes on the square patch;
 ///  - Sedov blast end-to-end: energy conservation and outward shock motion;
@@ -16,7 +16,6 @@
 
 #include "core/code_profiles.hpp"
 #include "core/simulation.hpp"
-#include "domain/distributed.hpp"
 #include "ft/checkpoint.hpp"
 #include "ft/sdc.hpp"
 #include "ic/evrard.hpp"
@@ -119,12 +118,12 @@ TEST(DistributedGravity, MatchesSharedMemoryDriver)
     cfg.neighborTolerance = 10;
     cfg.symmetrizeNeighbors = false;
     // index-aligned comparison below: the distributed pipeline has no phase L,
-    // so keep the shared-memory driver on the seed layout too
+    // so keep the P = 1 run on the seed layout too
     cfg.searchMode = NeighborSearchMode::TreeWalk;
     cfg.sfcReorder = false;
 
     Simulation<double> shared(ps, setup.box, Eos<double>(setup.eos), cfg);
-    DistributedSimulation<double> dist(ps, setup.box, Eos<double>(setup.eos), cfg, 4);
+    Simulation<double> dist(ps, setup.box, Eos<double>(setup.eos), cfg, 4);
 
     shared.computeForces();
     for (int sStep = 0; sStep < 3; ++sStep)
@@ -161,7 +160,7 @@ TEST(DistributedGravity, EnergyConserved)
     cfg.gravity.softening = 0.02;
     cfg.targetNeighbors   = 50;
 
-    DistributedSimulation<double> dist(ps, setup.box, Eos<double>(setup.eos), cfg, 3);
+    Simulation<double> dist(ps, setup.box, Eos<double>(setup.eos), cfg, 3);
     auto c0 = dist.conservation();
     for (int s = 0; s < 8; ++s)
         dist.advance();

@@ -3,7 +3,7 @@
 /// per-phase busy-time accounting, AWF weight persistence — and the
 /// strongest guarantee the layer makes to the solver: particle state after
 /// a real Sedov run is bitwise identical for every pool size and every
-/// scheduling strategy, for both the hydro and hydro+gravity pipelines.
+/// scheduling strategy, with and without self-gravity, at 1 and 4 ranks.
 
 #include <gtest/gtest.h>
 
@@ -335,9 +335,11 @@ TEST(AwfWeights, SimulationPersistsWeightsAcrossSteps)
 
 namespace {
 
-/// Run 5 Sedov steps under one (strategy, pool size) combination and return
-/// the final particle state.
-ParticleSetD runSedov(SchedulingStrategy strategy, std::size_t poolSize, bool gravity)
+/// Run 5 Sedov steps under one (strategy, pool size) combination on
+/// \p ranks simulated ranks and return the final particle state (sorted by
+/// id at P > 1).
+ParticleSetD runSedov(SchedulingStrategy strategy, std::size_t poolSize, bool gravity,
+                      int ranks)
 {
     PoolSizeGuard guard(poolSize);
 #ifdef _OPENMP
@@ -357,14 +359,14 @@ ParticleSetD runSedov(SchedulingStrategy strategy, std::size_t poolSize, bool gr
     if (gravity) cfg.gravity.softening = 1e-2;
     cfg.phaseSchedule.fill(strategy);
 
-    Simulation<double> sim(std::move(ps), setup.box, Eos<double>(setup.eos), cfg);
+    Simulation<double> sim(std::move(ps), setup.box, Eos<double>(setup.eos), cfg, ranks);
     sim.computeForces();
     sim.run(5);
 
 #ifdef _OPENMP
     omp_set_num_threads(savedOmp);
 #endif
-    return sim.particles();
+    return ranks == 1 ? sim.particles() : sim.gather();
 }
 
 /// Assert bitwise equality of every floating-point field.
@@ -388,19 +390,23 @@ void expectBitwiseEqual(const ParticleSetD& ref, const ParticleSetD& got,
 
 void runInvarianceSuite(bool gravity)
 {
-    // reference: STATIC on a single worker — the fully serial execution
-    ParticleSetD ref = runSedov(SchedulingStrategy::Static, 1, gravity);
-    ASSERT_GT(ref.size(), 0u);
-
-    for (auto s : kAllStrategies)
+    for (int ranks : {1, 4})
     {
-        for (std::size_t pool : {1u, 2u, 4u})
+        // reference: STATIC on a single worker — the fully serial execution
+        ParticleSetD ref = runSedov(SchedulingStrategy::Static, 1, gravity, ranks);
+        ASSERT_GT(ref.size(), 0u);
+
+        for (auto s : kAllStrategies)
         {
-            if (s == SchedulingStrategy::Static && pool == 1) continue; // the reference
-            ParticleSetD got = runSedov(s, pool, gravity);
-            expectBitwiseEqual(ref, got,
-                               std::string(schedulingName(s)) + "/pool=" +
-                                   std::to_string(pool));
+            for (std::size_t pool : {1u, 2u, 4u})
+            {
+                if (s == SchedulingStrategy::Static && pool == 1) continue; // the reference
+                ParticleSetD got = runSedov(s, pool, gravity, ranks);
+                expectBitwiseEqual(ref, got,
+                                   std::string(schedulingName(s)) + "/pool=" +
+                                       std::to_string(pool) +
+                                       "/ranks=" + std::to_string(ranks));
+            }
         }
     }
 }
@@ -408,9 +414,10 @@ void runInvarianceSuite(bool gravity)
 } // namespace
 
 /// 5 Sedov steps are bitwise identical across pool sizes {1,2,4} and all
-/// six scheduling strategies: every hot loop is accumulate-to-self and all
-/// reductions are exact (min/max selection), so chunk boundaries — even the
-/// timing-dependent ones of AWF — can never change physics.
+/// six scheduling strategies, at 1 and at 4 ranks: every hot loop is
+/// accumulate-to-self and all reductions are exact (min/max selection), so
+/// chunk boundaries — even the timing-dependent ones of AWF — can never
+/// change physics.
 TEST(ThreadStrategyInvariance, HydroPipelineIsBitwiseIdentical)
 {
     runInvarianceSuite(/*gravity*/ false);

@@ -1,18 +1,18 @@
-/// Tests of the phase-pipeline ("Propagator") layer: factory-assembled
-/// phase ordering against the Fig. 4 A..J sequence, declarative gravity
-/// selection, runner-emitted timing accounting, custom pipelines, and the
-/// strongest equivalence guarantee the shared phase units give us — the
-/// single-rank and 1-rank-distributed drivers producing bitwise-identical
-/// particle state.
+/// Tests of the phase-pipeline ("Propagator") layer: the one op list
+/// against the Fig. 4 A..J sequence, self-gating gravity, the halo-sync
+/// segment boundaries, runner-emitted timing accounting, custom pipelines,
+/// and the guarantee the shared phase units give every rank count — a
+/// global walk and a per-rank walk over all indices producing
+/// bitwise-identical particle state.
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cmath>
+#include <numeric>
 
-#include "core/code_profiles.hpp"
 #include "core/propagator.hpp"
 #include "core/simulation.hpp"
-#include "domain/distributed.hpp"
 #include "ic/square_patch.hpp"
 
 using namespace sphexa;
@@ -49,65 +49,58 @@ SimulationConfig<double> patchConfig()
 
 TEST(PipelineFactory, PhaseOrderMatchesFig4Sequence)
 {
-    SimulationConfig<double> cfg;
-    cfg.selfGravity = true;
-    auto phases = PipelineFactory<double>::singleRank(cfg).phases();
-
-    // the full hydro+gravity force pipeline is the L sfc-sort op (self-gated,
-    // a no-op unless cfg.sfcReorder / ClusterList mode asks for it) followed
-    // by exactly A..I in Fig. 4 order (phase J brackets the pipeline in the
-    // driver's kick-drift-kick)
-    ASSERT_EQ(phases.size(), 10u);
-    EXPECT_EQ(phases.front(), Phase::L_SfcSort);
-    for (std::size_t k = 1; k < phases.size(); ++k)
+    // the one force pipeline: exactly A..I in Fig. 4 order, preceded by the
+    // L sfc-sort op and bracketed by the K ghost ops (each a no-op unless
+    // the config asks for it), with the body force in phase H's slot;
+    // phase J brackets the pipeline in the driver's kick-drift-kick
+    auto phases = PipelineFactory<double>::singleRank(SimulationConfig<double>{}).phases();
+    const std::vector<Phase> expected{
+        Phase::L_SfcSort,        Phase::K_GhostExchange,      Phase::A_TreeBuild,
+        Phase::B_NeighborSearch, Phase::C_SmoothingLength,    Phase::D_NeighborSymmetrize,
+        Phase::E_Density,        Phase::F_EosAndIad,          Phase::G_DivCurl,
+        Phase::H_MomentumEnergy, Phase::H_MomentumEnergy,     Phase::I_SelfGravity,
+        Phase::K_GhostExchange};
+    ASSERT_EQ(phases.size(), expected.size());
+    for (std::size_t k = 0; k < phases.size(); ++k)
     {
-        EXPECT_EQ(int(phases[k]), int(k - 1)) << "phase " << phaseName(phases[k]);
+        EXPECT_EQ(phases[k], expected[k]) << "op " << k << ": " << phaseName(phases[k]);
     }
 }
 
 TEST(PipelineFactory, GravityPhaseSkippedWithoutSelfGravity)
 {
-    SimulationConfig<double> cfg;
-    cfg.selfGravity = false;
-    auto pipeline = PipelineFactory<double>::singleRank(cfg);
-    EXPECT_FALSE(pipeline.hasPhase(Phase::I_SelfGravity));
-    EXPECT_EQ(pipeline.phases().size(), 9u); // L + A..H
-
-    cfg.selfGravity = true;
-    EXPECT_TRUE(PipelineFactory<double>::singleRank(cfg).hasPhase(Phase::I_SelfGravity));
+    // phase I gates itself on the config: without self-gravity the op runs
+    // but evaluates nothing
+    for (bool gravity : {false, true})
+    {
+        auto patch = makePatch(8, 4);
+        auto cfg   = patchConfig();
+        cfg.selfGravity = gravity;
+        Simulation<double> sim(std::move(patch.ps), patch.setup.box,
+                               Eos<double>(patch.setup.eos), cfg);
+        auto rep = sim.computeForces();
+        EXPECT_EQ(rep.gravityStats.p2pInteractions > 0, gravity);
+        EXPECT_EQ(sim.conservation().potentialEnergy != 0.0, gravity);
+    }
 }
 
 TEST(PipelineFactory, DistributedSegmentsCoverAtoHWithHaloSyncs)
 {
-    SimulationConfig<double> cfg;
-    auto pipeline = PipelineFactory<double>::distributed(cfg);
-    auto phases   = pipeline.phases();
+    auto pipeline = PipelineFactory<double>::singleRank(SimulationConfig<double>{});
 
-    ASSERT_EQ(phases.size(), 8u); // A..H; gravity is reduction glue
-    for (std::size_t k = 0; k < phases.size(); ++k)
-    {
-        EXPECT_EQ(int(phases[k]), int(k));
-    }
-    // cross-rank data dependencies are declared at the segment boundaries
+    // density | EOS + IAD | div/curl | momentum..: a P > 1 run refreshes
+    // the ghost fields the next segment reads at every boundary but the last
     const auto& segs = pipeline.segments();
-    ASSERT_GE(segs.size(), 2u);
-    EXPECT_FALSE(segs.front().haloFieldsAfter.empty());
-    EXPECT_TRUE(segs.back().haloFieldsAfter.empty());
-}
-
-TEST(PipelineFactory, ProfilesSelectPipelineDeclaratively)
-{
-    // parent-code presets select their pipeline from their config alone
-    for (const auto& profile : parentProfiles<double>())
+    ASSERT_EQ(segs.size(), 4u);
+    EXPECT_EQ(segs[0].ops.back().phase, Phase::E_Density);
+    EXPECT_EQ(segs[1].ops.front().phase, Phase::F_EosAndIad);
+    EXPECT_EQ(segs[2].ops.front().phase, Phase::G_DivCurl);
+    EXPECT_EQ(segs[3].ops.front().phase, Phase::H_MomentumEnergy);
+    for (std::size_t k = 0; k + 1 < segs.size(); ++k)
     {
-        auto pipeline = pipelineFor(profile);
-        EXPECT_EQ(pipeline.hasPhase(Phase::I_SelfGravity), profile.config.selfGravity)
-            << profile.name;
+        EXPECT_FALSE(segs[k].haloFieldsAfter.empty()) << "segment " << k;
     }
-    // an Evrard-style run (gravity on) upgrades to the A..I pipeline
-    auto evrard = sphexaProfile<double>();
-    evrard.config.selfGravity = true;
-    EXPECT_TRUE(pipelineFor(evrard).hasPhase(Phase::I_SelfGravity));
+    EXPECT_TRUE(segs.back().haloFieldsAfter.empty());
 }
 
 // --- runner accounting -------------------------------------------------------------
@@ -210,57 +203,61 @@ TEST(Propagator, ComputeForcesReportsTimeAndDt)
     EXPECT_GT(rep1.dt, 0.0);
 }
 
-// --- driver equivalence through the shared phase units -----------------------------
+// --- walk-mode equivalence through the shared phase units ------------------------
 
-TEST(Propagator, SingleRankAndOneRankDistributedAreBitwiseIdentical)
+TEST(Propagator, GlobalAndAllIndicesLocalWalksAreBitwiseIdentical)
 {
+    // P = 1 walks globally; a rank of a P > 1 run walks its owned indices.
+    // Over the same patch with every index owned, the one pipeline must
+    // produce bitwise-identical fields either way: the phase units, not the
+    // walk mode, decide the summation order.
     auto patch = makePatch();
     SimulationConfig<double> cfg = patchConfig();
-    cfg.symmetrizeNeighbors = false; // the distributed driver can't (halo pairs)
-    // pin the per-particle walk over the unreordered frame: the distributed
-    // pipeline has no phase L, so the drivers only share a summation order
-    // when the shared-memory one keeps the seed layout too
+    cfg.symmetrizeNeighbors = false; // per-rank walks do not symmetrize
+    // per-particle walks in the seed layout: phase L and the cluster search
+    // run on Global walks only
     cfg.searchMode = NeighborSearchMode::TreeWalk;
     cfg.sfcReorder = false;
+    const Eos<double> eos(patch.setup.eos);
+    const Kernel<double> kernel(cfg.kernel, cfg.sincExponent);
+    const auto pipeline = PipelineFactory<double>::singleRank(cfg);
 
-    Simulation<double> shared(patch.ps, patch.setup.box, Eos<double>(patch.setup.eos),
-                              cfg);
-    DistributedSimulation<double> dist(patch.ps, patch.setup.box,
-                                       Eos<double>(patch.setup.eos), cfg, 1);
-
-    shared.computeForces();
-    for (int s = 0; s < 5; ++s)
-    {
-        shared.advance();
-        dist.advance();
-    }
-
-    auto g = dist.gather();
-    const auto& ref = shared.particles();
-    ASSERT_EQ(g.size(), ref.size());
-
-    // both drivers executed phases A..H through the same PhaseOp units, so
-    // with one rank (no summation-order changes from halos) the particle
-    // state must be bitwise identical, not merely close
-    auto expectBitwise = [&](const std::vector<double>& a, const std::vector<double>& b,
-                             const char* field) {
-        for (std::size_t i = 0; i < a.size(); ++i)
+    auto runPasses = [&](WalkMode mode) {
+        ParticleSetD ps = patch.ps;
+        Octree<double> tree;
+        NeighborList<double> nl(ps.size(), cfg.ngmax);
+        // two passes: the second starts from the h the first converged
+        for (int pass = 0; pass < 2; ++pass)
         {
-            ASSERT_EQ(a[i], b[i]) << field << "[" << i << "]";
+            StepContext<double> ctx{ps, patch.setup.box, cfg, kernel, eos, tree, nl};
+            ctx.walkMode = mode;
+            if (mode == WalkMode::LocalIndices)
+            {
+                ctx.walkIndices.resize(ps.size());
+                std::iota(ctx.walkIndices.begin(), ctx.walkIndices.end(), std::size_t(0));
+            }
+            std::array<double, phaseCount> seconds{};
+            for (std::size_t s = 0; s < pipeline.segments().size(); ++s)
+                pipeline.runSegment(s, ctx, seconds);
         }
+        return ps;
     };
-    ASSERT_EQ(g.id, ref.id);
-    expectBitwise(g.x, ref.x, "x");
-    expectBitwise(g.y, ref.y, "y");
-    expectBitwise(g.z, ref.z, "z");
-    expectBitwise(g.vx, ref.vx, "vx");
-    expectBitwise(g.vy, ref.vy, "vy");
-    expectBitwise(g.vz, ref.vz, "vz");
-    expectBitwise(g.h, ref.h, "h");
-    expectBitwise(g.rho, ref.rho, "rho");
-    expectBitwise(g.u, ref.u, "u");
-    expectBitwise(g.p, ref.p, "p");
-    expectBitwise(g.c, ref.c, "c");
+
+    auto global = runPasses(WalkMode::Global);
+    auto local  = runPasses(WalkMode::LocalIndices);
+    ASSERT_EQ(global.size(), local.size());
+    ASSERT_EQ(global.id, local.id);
+    ASSERT_EQ(global.nc, local.nc);
+    auto gf = global.realFields();
+    auto lf = local.realFields();
+    const auto& names = ParticleSetD::realFieldNames();
+    for (std::size_t f = 0; f < gf.size(); ++f)
+    {
+        for (std::size_t i = 0; i < gf[f]->size(); ++i)
+        {
+            ASSERT_EQ((*gf[f])[i], (*lf[f])[i]) << names[f] << "[" << i << "]";
+        }
+    }
 }
 
 TEST(Propagator, DistributedPhaseLogCoversAllRanks)
@@ -268,8 +265,8 @@ TEST(Propagator, DistributedPhaseLogCoversAllRanks)
     auto patch = makePatch();
     SimulationConfig<double> cfg = patchConfig();
 
-    DistributedSimulation<double> dist(patch.ps, patch.setup.box,
-                                       Eos<double>(patch.setup.eos), cfg, 3);
+    Simulation<double> dist(patch.ps, patch.setup.box, Eos<double>(patch.setup.eos), cfg,
+                            3);
     PhaseEventLog log;
     dist.attachPhaseLog(&log);
     auto rep = dist.advance();
